@@ -1,7 +1,10 @@
 //! Back-compat contract: v1 `HFAB` artifacts written by older releases
 //! must keep loading, and must survive re-encoding as v2 with nothing
 //! lost — the fixture under `tests/fixtures/` is a frozen v1 byte
-//! stream, so this test fails if the v1 reader drifts.
+//! stream, so this test fails if the v1 reader drifts. A second fixture
+//! freezes the v2 bytes, so every v2 writer (`to_bytes`, `save_file`,
+//! `synthesize_to_file`) is pinned against a stream none of them wrote
+//! in this build.
 
 use hetefedrec_core::config::TierDims;
 use hf_dataset::SyntheticProfile;
@@ -13,7 +16,12 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/artifact_v1.hfa"
 );
 
-/// The artifact the committed fixture was generated from (small enough
+const FIXTURE_V2: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/artifact_v2.hfa"
+);
+
+/// The artifact the committed fixtures was generated from (small enough
 /// to keep the fixture a few tens of KiB, deterministic by seed).
 fn fixture_source() -> ModelArtifact {
     ModelArtifact::synthesize(
@@ -75,6 +83,58 @@ fn v1_fixture_loads_and_reencodes_bit_identically_as_v2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn v2_fixture_matches_every_writer_and_loads_both_ways() {
+    let frozen = std::fs::read(FIXTURE_V2).expect("v2 fixture present");
+    let source = fixture_source();
+    assert_eq!(source.to_bytes(), frozen, "to_bytes drifted from the v2 fixture");
+
+    let dir = std::env::temp_dir().join(format!("hf_backcompat_v2_{}", std::process::id()));
+    let saved = dir.join("saved.hfa");
+    source.save_file(&saved).expect("save_file");
+    assert_eq!(std::fs::read(&saved).unwrap(), frozen, "save_file drifted");
+    let streamed = dir.join("streamed.hfa");
+    ModelArtifact::synthesize_to_file(
+        &SyntheticProfile::new(48, 120),
+        TierDims::new(4, 8, 16),
+        2024,
+        &streamed,
+    )
+    .expect("synthesize_to_file");
+    assert_eq!(
+        std::fs::read(&streamed).unwrap(),
+        frozen,
+        "synthesize_to_file drifted"
+    );
+
+    // The frozen bytes load eagerly and lazily with bit-identical rankings.
+    let eager = ModelArtifact::load_file(FIXTURE_V2).expect("v2 fixture loads");
+    let lazy = ModelArtifact::load_file_lazy(FIXTURE_V2, LazyConfig::default()).expect("lazy");
+    assert!(lazy.is_lazy());
+    let reqs: Vec<_> = (0..source.num_users())
+        .map(RecommendRequest::new)
+        .collect();
+    let serve = |a: ModelArtifact| {
+        RecommenderBuilder::new(a)
+            .default_k(8)
+            .panel_items(32)
+            .build()
+            .unwrap()
+            .recommend_batch(&reqs)
+    };
+    let want = serve(source);
+    for got in [serve(eager), serve(lazy)] {
+        for (a, b) in want.iter().zip(&got) {
+            assert_eq!(a.items.len(), b.items.len());
+            for (x, y) in a.items.iter().zip(&b.items) {
+                assert_eq!(x.item, y.item, "user {}", a.user);
+                assert_eq!(x.score.to_bits(), y.score.to_bits(), "user {}", a.user);
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Regenerates the committed fixture. Run manually after an *intentional*
 /// v1-encoder change (there should never be one — v1 is frozen):
 /// `cargo test -p hf_serve --test backcompat -- --ignored`
@@ -86,4 +146,16 @@ fn regenerate_v1_fixture() {
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, &bytes).unwrap();
     println!("wrote {} bytes to {}", bytes.len(), path.display());
+}
+
+/// Regenerates the committed v2 fixture. Run manually only after an
+/// *intentional* change to the v2 layout, which also needs a new
+/// `BINFMT_VERSION`:
+/// `cargo test -p hf_serve --test backcompat -- --ignored`
+#[test]
+#[ignore = "writes the committed fixture; run only to regenerate it"]
+fn regenerate_v2_fixture() {
+    let bytes = fixture_source().to_bytes();
+    std::fs::write(FIXTURE_V2, &bytes).unwrap();
+    println!("wrote {} bytes to {FIXTURE_V2}", bytes.len());
 }

@@ -20,9 +20,10 @@
 //! 4. price the staleness: [`drift_report`] on the held-out events,
 //!    stale versus fresh artifact.
 //!
-//! On success the process prints the machine-checkable line
-//! `hot swap verified: v1 -> v2, rankings attributable` and exits 0;
-//! any broken invariant panics.
+//! On success the process prints the machine-checkable lines
+//! `hot swap verified: v1 -> v2, rankings attributable` and
+//! `responses re-stamped mid-connection` (both checks ran over the same
+//! client connection) and exits 0; any broken invariant panics.
 
 use hetefedrec_core::{Ablation, SessionBuilder, Strategy, TrainConfig};
 use hf_dataset::{SplitDataset, SyntheticConfig};
@@ -261,6 +262,7 @@ fn main() {
         "hf-pipeline: post-swap rankings match generation {generations} bit-for-bit ({post} requests)"
     );
     println!("hot swap verified: v1 -> v2, rankings attributable");
+    println!("hf-pipeline: one connection, responses re-stamped mid-connection (v1 -> v2)");
 
     // 6. Price the staleness on the held-out events.
     let report = drift_report(&gen1, &fresh, &held_out, 10);

@@ -107,7 +107,7 @@ pub(crate) enum TierParams {
         /// Frozen tier predictors `{Θs, Θm, Θl}`.
         thetas: Box<[Ffn; 3]>,
     },
-    /// Decoded per tier on first touch from a v2 file.
+    /// Tables decoded per tier on first touch from a v2 file.
     Lazy(LazyTiers),
 }
 
@@ -160,7 +160,8 @@ impl ModelArtifact {
             })
             .collect();
 
-        let fallback = tier_mean_fallback(&cfg.dims, users.iter().map(|u| (u.tier, &u.emb[..])));
+        let mut means = TierMeans::new(&cfg.dims);
+        users.iter().for_each(|u| means.add(u.tier, &u.emb));
 
         Self {
             model: cfg.model,
@@ -173,16 +174,15 @@ impl ModelArtifact {
             },
             users: UserStore::Eager(users),
             popularity,
-            fallback,
+            fallback: means.finish(),
         }
     }
 
-    /// Assembles an eager artifact from decoded parts (the binary
-    /// reader's constructor).
+    /// Assembles an artifact around decoded `meta` (the binary readers'
+    /// constructor, eager and lazy).
     pub(crate) fn assemble(
         meta: crate::binfmt::Meta,
-        tables: [Matrix; 3],
-        thetas: [Ffn; 3],
+        params: TierParams,
         users: UserStore,
         popularity: Vec<u32>,
         fallback: [Vec<f32>; 3],
@@ -192,10 +192,7 @@ impl ModelArtifact {
             dims: meta.dims,
             standalone: meta.standalone,
             num_items: meta.num_items,
-            params: TierParams::Eager {
-                tables: Box::new(tables),
-                thetas: Box::new(thetas),
-            },
+            params,
             users,
             popularity,
             fallback,
@@ -239,21 +236,12 @@ impl ModelArtifact {
         crate::binfmt::decode(buf)
     }
 
-    /// Writes the binary format to `path`, creating parent directories.
+    /// Streams the binary format to `path`, creating parent directories.
     /// Serving hosts load this file directly ([`ModelArtifact::load_file`]
     /// or [`ModelArtifact::load_file_lazy`]) instead of replaying a
     /// checkpoint restore.
     pub fn save_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    ServeError::Artifact(format!("cannot create {}: {e}", parent.display()))
-                })?;
-            }
-        }
-        std::fs::write(path, self.to_bytes())
-            .map_err(|e| ServeError::Artifact(format!("cannot write {}: {e}", path.display())))
+        crate::binfmt::write_file(path.as_ref(), &mut &*self).map(|_| ())
     }
 
     /// Reads an artifact from the binary file format written by
@@ -351,8 +339,8 @@ impl ModelArtifact {
         }
     }
 
-    /// One tier's frozen predictor (lazily decoded like
-    /// [`ModelArtifact::table`]).
+    /// One tier's frozen predictor (decoded when the file is opened,
+    /// lazy or not).
     pub fn theta(&self, tier: Tier) -> &Ffn {
         match &self.params {
             TierParams::Eager { thetas, .. } => &thetas[tier.index()],
@@ -361,14 +349,14 @@ impl ModelArtifact {
     }
 
     /// One tier table's shape `(rows, cols)` — available without forcing
-    /// a lazy tier load (v2 directories carry the shape).
+    /// a lazy tier load (the reader checked the shape against `meta`).
     pub fn table_dims(&self, tier: Tier) -> (usize, usize) {
         match &self.params {
             TierParams::Eager { tables, .. } => {
                 let t = &tables[tier.index()];
                 (t.rows(), t.cols())
             }
-            TierParams::Lazy(lazy) => lazy.table_dims(tier),
+            TierParams::Lazy(_) => (self.num_items, self.dims.dim(tier)),
         }
     }
 
@@ -385,25 +373,37 @@ impl ModelArtifact {
     }
 }
 
-/// Per-tier mean embedding over `(tier, emb)` pairs in ascending user
-/// order — the deterministic cold-start fallback shared by session
-/// export and synthesis.
-pub(crate) fn tier_mean_fallback<'a>(
-    dims: &TierDims,
-    users: impl Iterator<Item = (Tier, &'a [f32])>,
-) -> [Vec<f32>; 3] {
-    let mut fallback: [Vec<f32>; 3] = std::array::from_fn(|t| vec![0.0f32; dims.dim(Tier::ALL[t])]);
-    let mut counts = [0usize; 3];
-    for (tier, emb) in users {
-        let t = tier.index();
-        hf_tensor::ops::axpy_slice(&mut fallback[t], 1.0, emb);
-        counts[t] += 1;
-    }
-    for (f, &n) in fallback.iter_mut().zip(&counts) {
-        if n > 0 {
-            let inv = 1.0 / n as f32;
-            f.iter_mut().for_each(|x| *x *= inv);
+/// Per-tier running sums of user embeddings, added in ascending user
+/// order: the deterministic cold-start fallback shared by session export
+/// and synthesis.
+pub(crate) struct TierMeans {
+    sums: [Vec<f32>; 3],
+    counts: [usize; 3],
+}
+
+impl TierMeans {
+    pub(crate) fn new(dims: &TierDims) -> Self {
+        Self {
+            sums: std::array::from_fn(|t| vec![0.0f32; dims.dim(Tier::ALL[t])]),
+            counts: [0; 3],
         }
     }
-    fallback
+
+    pub(crate) fn add(&mut self, tier: Tier, emb: &[f32]) {
+        let t = tier.index();
+        hf_tensor::ops::axpy_slice(&mut self.sums[t], 1.0, emb);
+        self.counts[t] += 1;
+    }
+
+    /// The per-tier means (zeros when a tier has no users).
+    pub(crate) fn finish(&self) -> [Vec<f32>; 3] {
+        let mut means = self.sums.clone();
+        for (f, &n) in means.iter_mut().zip(&self.counts) {
+            if n > 0 {
+                let inv = 1.0 / n as f32;
+                f.iter_mut().for_each(|x| *x *= inv);
+            }
+        }
+        means
+    }
 }

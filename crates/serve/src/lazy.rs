@@ -4,23 +4,25 @@
 //! host never has to materialise the whole artifact: this module keeps
 //! the file open and decodes state on first touch —
 //!
-//! * [`LazyTiers`] — per-tier item tables and predictors behind
-//!   `OnceLock`s: a tier costs nothing until the first request for it,
-//!   then stays resident (tables are shared, hot, and bounded at three).
+//! * [`LazyTiers`] — per-tier item tables behind `OnceLock`s: a tier
+//!   costs nothing until the first request for it, then stays resident
+//!   (tables are shared, hot, and bounded at three). The predictors are
+//!   a few KB and every recommender build touches all three, so they are
+//!   decoded when the file is opened.
 //! * [`LazyUsers`] — per-user records behind a **sharded bounded LRU**:
 //!   user `u` hashes to shard `u % shards`, each shard caches at most
 //!   `shard_capacity` decoded records and evicts least-recently-used, so
 //!   resident user state is capped at `shards × capacity` records no
 //!   matter how many users the file holds.
 //!
-//! Every offset and length is validated against the file size at open
-//! time (section table, tier directories) or at touch time (per-user
-//! directory entries) **before any allocation**, so a hostile file fails
-//! with [`ServeError::Artifact`], never an OOM.
-//!
-//! The decode functions are the same ones the eager reader uses, so a
-//! record fetched lazily is bit-identical to its eager twin — the
-//! determinism tests in `tests/lazy_serving.rs` pin this.
+//! Opening goes through the same [`binfmt::Container`] reader as the
+//! eager load, which validates every offset and length against the file
+//! size (section table, tier directories) **before any allocation**, so
+//! a hostile file fails with [`ServeError::Artifact`], never an OOM.
+//! Per-user directory entries are bounds-checked at touch time. A record
+//! fetched lazily is decoded by the same function as its eager twin, so
+//! it is bit-identical — the determinism tests in
+//! `tests/lazy_serving.rs` pin this.
 //!
 //! Failure discipline: *structure* (headers, directories, shapes) is
 //! validated at open and returns errors; a payload that fails to decode
@@ -28,19 +30,13 @@
 //! running server, and panics with a message naming the file. Serving
 //! from a file being modified in place is not supported.
 
-use crate::artifact::TierParams;
-use crate::artifact::{ModelArtifact, UserRecord, UserStore};
-use crate::binfmt::{
-    self, err, Meta, TableDirEntry, HEADER_LEN, SECTION_HEADER_LEN, SEC_FALLBACK, SEC_META,
-    SEC_POPULARITY, SEC_TABLES, SEC_THETAS, SEC_USERS, TABLE_DIR_ENTRY, THETA_DIR_ENTRY,
-    USER_DIR_ENTRY,
-};
+use crate::artifact::{ModelArtifact, TierParams, UserRecord, UserStore};
+use crate::binfmt::{self, ByteSource, Container};
 use crate::ServeError;
-use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
-use hf_fedsim::wire::Reader;
 use hf_models::Ffn;
 use hf_tensor::Matrix;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
@@ -81,12 +77,9 @@ pub(crate) struct ArtifactFile {
 
 impl ArtifactFile {
     fn open(path: &Path) -> Result<Self, ServeError> {
-        let file =
-            File::open(path).map_err(|e| err(format!("cannot open {}: {e}", path.display())))?;
-        let len = file
-            .metadata()
-            .map_err(|e| err(format!("cannot stat {}: {e}", path.display())))?
-            .len();
+        let err = |e| ServeError::Artifact(format!("cannot open {}: {e}", path.display()));
+        let file = File::open(path).map_err(err)?;
+        let len = file.metadata().map_err(err)?.len();
         Ok(Self {
             path: path.to_path_buf(),
             len,
@@ -94,13 +87,30 @@ impl ArtifactFile {
         })
     }
 
-    /// Reads exactly `len` bytes at absolute offset `off`, validating
-    /// the range against the file size *before* allocating the buffer.
-    fn read(&self, off: u64, len: u64) -> Result<Vec<u8>, ServeError> {
+    /// Unwraps a touch-time decode. Structure was validated at open, so
+    /// a failure means the file changed underneath the server.
+    fn touched<T>(&self, decoded: Result<T, ServeError>) -> T {
+        decoded.unwrap_or_else(|e| {
+            panic!(
+                "lazy artifact {} no longer decodes (file modified in place?): {e}",
+                self.path.display()
+            )
+        })
+    }
+}
+
+impl ByteSource for ArtifactFile {
+    fn size(&self) -> u64 {
+        self.len
+    }
+
+    /// Validates the range against the file size *before* allocating the
+    /// buffer.
+    fn read_at(&self, off: u64, len: u64) -> Result<Cow<'_, [u8]>, ServeError> {
         let end = off.checked_add(len).filter(|&e| e <= self.len);
         let n = usize::try_from(len).ok().filter(|_| end.is_some());
         let n = n.ok_or_else(|| {
-            err(format!(
+            ServeError::Artifact(format!(
                 "{}: read of {len} bytes at offset {off} exceeds file size {}",
                 self.path.display(),
                 self.len
@@ -110,85 +120,35 @@ impl ArtifactFile {
         let mut f = self.file.lock().expect("artifact file lock");
         f.seek(SeekFrom::Start(off))
             .and_then(|_| f.read_exact(&mut buf))
-            .map_err(|e| err(format!("{}: read failed: {e}", self.path.display())))?;
-        Ok(buf)
-    }
-
-    /// `read` for touch-time paths, where structure was validated at
-    /// open: a failure means the file changed underneath the server.
-    fn read_or_die(&self, off: u64, len: u64, what: &str) -> Vec<u8> {
-        self.read(off, len).unwrap_or_else(|e| {
-            panic!("lazy artifact {what} no longer readable (file modified in place?): {e}")
-        })
+            .map_err(|e| {
+                ServeError::Artifact(format!("{}: read failed: {e}", self.path.display()))
+            })?;
+        Ok(Cow::Owned(buf))
     }
 }
 
 // ---------------------------------------------------------------------
-// Lazy tier tables / predictors
+// Lazy tier tables
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct TierCache {
-    tables: [OnceLock<Matrix>; 3],
-    thetas: [OnceLock<Ffn>; 3],
-}
-
-/// Per-tier item tables and predictors, decoded on first touch.
+/// Per-tier item tables decoded on first touch, and the predictors
+/// decoded at open.
 #[derive(Clone, Debug)]
 pub(crate) struct LazyTiers {
     file: Arc<ArtifactFile>,
-    table_entries: [TableDirEntry; 3],
-    /// Absolute file offset of the tables payload block.
-    table_block: u64,
-    theta_entries: [(u64, u64); 3],
-    /// Absolute file offset of the thetas payload block.
-    theta_block: u64,
-    cache: Arc<TierCache>,
+    index: binfmt::Tables,
+    tables: Arc<[OnceLock<Matrix>; 3]>,
+    thetas: Arc<[Ffn; 3]>,
 }
 
 impl LazyTiers {
     pub(crate) fn table(&self, tier: Tier) -> &Matrix {
-        let t = tier.index();
-        self.cache.tables[t].get_or_init(|| {
-            let e = &self.table_entries[t];
-            let bytes = self
-                .file
-                .read_or_die(self.table_block + e.off, e.len, "tier table");
-            let mut r = Reader::new(&bytes);
-            binfmt::get_matrix(&mut r)
-                .filter(|_| r.remaining() == 0)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "lazy artifact {}: {tier:?} table payload is malformed",
-                        self.file.path.display()
-                    )
-                })
-        })
+        self.tables[tier.index()]
+            .get_or_init(|| self.file.touched(self.index.read(&*self.file, tier)))
     }
 
     pub(crate) fn theta(&self, tier: Tier) -> &Ffn {
-        let t = tier.index();
-        self.cache.thetas[t].get_or_init(|| {
-            let (off, len) = self.theta_entries[t];
-            let bytes = self
-                .file
-                .read_or_die(self.theta_block + off, len, "tier predictor");
-            let mut r = Reader::new(&bytes);
-            binfmt::get_ffn(&mut r)
-                .filter(|_| r.remaining() == 0)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "lazy artifact {}: {tier:?} predictor payload is malformed",
-                        self.file.path.display()
-                    )
-                })
-        })
-    }
-
-    /// Table shape from the directory — no decode forced.
-    pub(crate) fn table_dims(&self, tier: Tier) -> (usize, usize) {
-        let e = &self.table_entries[tier.index()];
-        (e.rows as usize, e.cols as usize)
+        &self.thetas[tier.index()]
     }
 }
 
@@ -214,19 +174,13 @@ struct Shard {
 #[derive(Clone, Debug)]
 pub(crate) struct LazyUsers {
     file: Arc<ArtifactFile>,
-    dims: TierDims,
-    num_users: usize,
-    /// Absolute file offset of the fixed-width user directory.
-    dir_off: u64,
-    /// Absolute file offset of the user payload block.
-    payload_off: u64,
-    payload_len: u64,
+    index: binfmt::Users,
     shards: Arc<Vec<Shard>>,
 }
 
 impl LazyUsers {
     pub(crate) fn num_users(&self) -> usize {
-        self.num_users
+        self.index.count()
     }
 
     pub(crate) fn cached_records(&self) -> usize {
@@ -237,7 +191,7 @@ impl LazyUsers {
     }
 
     pub(crate) fn user(&self, user: usize) -> Option<Arc<UserRecord>> {
-        if user >= self.num_users {
+        if user >= self.num_users() {
             return None;
         }
         let shard = &self.shards[user % self.shards.len()];
@@ -248,7 +202,7 @@ impl LazyUsers {
             *tick = stamp;
             return Some(record.clone());
         }
-        let record = Arc::new(self.fetch(user));
+        let record = Arc::new(self.file.touched(self.index.read(&*self.file, user)));
         if cache.map.len() >= shard.cap {
             // Evict the least-recently-used record. Linear scan: shard
             // capacities are small (hundreds), misses are already an
@@ -264,36 +218,6 @@ impl LazyUsers {
         }
         cache.map.insert(user, (stamp, record.clone()));
         Some(record)
-    }
-
-    /// Decodes one record from disk: directory entry, then payload.
-    fn fetch(&self, user: usize) -> UserRecord {
-        let entry = self.file.read_or_die(
-            self.dir_off + user as u64 * USER_DIR_ENTRY,
-            USER_DIR_ENTRY,
-            "user directory",
-        );
-        let mut d = Reader::new(&entry);
-        let off = d.get_u64_le().expect("12-byte entry");
-        let len = d.get_u32_le().expect("12-byte entry") as u64;
-        if off > self.payload_len || len > self.payload_len - off {
-            panic!(
-                "lazy artifact {}: user {user} directory entry is out of bounds",
-                self.file.path.display()
-            );
-        }
-        let bytes = self
-            .file
-            .read_or_die(self.payload_off + off, len, "user record");
-        let mut r = Reader::new(&bytes);
-        binfmt::get_user(&mut r, &self.dims)
-            .filter(|_| r.remaining() == 0)
-            .unwrap_or_else(|| {
-                panic!(
-                    "lazy artifact {}: user {user} payload is malformed",
-                    self.file.path.display()
-                )
-            })
     }
 }
 
@@ -312,106 +236,31 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
     }
 
     let file = Arc::new(ArtifactFile::open(path)?);
-
-    let header = file.read(0, HEADER_LEN.min(file.len))?;
-    let mut r = Reader::new(&header);
-    let container = binfmt::parse_header(&mut r)?;
-    if container == 1 {
+    let c = Container::open(&*file)?;
+    if !c.is_indexed() {
         // v1 has no directories to seek by — eager is the only path.
-        return ModelArtifact::load_file(path);
+        return c.load(&*file);
     }
-
-    // Walk the section table without touching payloads: (tag, off, len).
-    let mut sections: [Option<(u64, u64)>; 7] = [None; 7];
-    let mut cursor = HEADER_LEN;
-    while cursor < file.len {
-        let head = file.read(cursor, SECTION_HEADER_LEN)?;
-        let mut h = Reader::new(&head);
-        let tag = h.get_u8().expect("9-byte header");
-        let declared = h.get_u64_le().expect("9-byte header");
-        let payload_off = cursor + SECTION_HEADER_LEN;
-        // Satellite fix applies here too: validate the declared length
-        // against the bytes remaining in the file before anything is
-        // allocated or skipped.
-        if declared > file.len - payload_off {
-            return Err(err(format!(
-                "section {tag} claims {declared} bytes but only {} remain",
-                file.len - payload_off
-            )));
-        }
-        let slot = sections
-            .get_mut(tag as usize)
-            .filter(|_| (SEC_META..=SEC_FALLBACK).contains(&tag))
-            .ok_or_else(|| err(format!("unknown section tag {tag}")))?;
-        if slot.replace((payload_off, declared)).is_some() {
-            return Err(err(format!("duplicate section tag {tag}")));
-        }
-        cursor = payload_off + declared;
-    }
-    let section = |tag: u8, name: &str| {
-        sections[tag as usize].ok_or_else(|| err(format!("missing `{name}` section")))
-    };
-
-    // meta / popularity / fallback are small and always needed: eager.
-    let (off, len) = section(SEC_META, "meta")?;
-    let meta: Meta = binfmt::parse_meta(&file.read(off, len)?)?;
-
-    let (off, len) = section(SEC_POPULARITY, "popularity")?;
-    let pop_bytes = file.read(off, len)?;
-    let mut p = Reader::new(&pop_bytes);
-    let popularity = p
-        .get_u32_vec(meta.num_items)
-        .filter(|_| p.remaining() == 0)
-        .ok_or_else(|| err("`popularity` section is malformed"))?;
-
-    let (off, len) = section(SEC_FALLBACK, "fallback")?;
-    let fallback = binfmt::decode_fallback(&file.read(off, len)?, &meta.dims)?;
-
-    // tables / thetas: validate directories now, defer payloads.
-    let (off, len) = section(SEC_TABLES, "tables")?;
-    let dir = file.read(off, (3 * TABLE_DIR_ENTRY).min(len))?;
-    let table_entries = binfmt::parse_table_dir(&dir, len, &meta)?;
-    let table_block = off + 3 * TABLE_DIR_ENTRY;
-
-    let (off, len) = section(SEC_THETAS, "thetas")?;
-    let dir = file.read(off, (3 * THETA_DIR_ENTRY).min(len))?;
-    let theta_entries = binfmt::parse_theta_dir(&dir, len)?;
-    let theta_block = off + 3 * THETA_DIR_ENTRY;
-
-    // users: frame the directory, defer everything else to touch time.
-    let (off, len) = section(SEC_USERS, "users")?;
-    let (dir_len, payload_len) = binfmt::users_section_split(len, &meta)?;
-
     let shards = (0..cfg.user_shards)
         .map(|_| Shard {
             cap: cfg.shard_capacity,
             inner: Mutex::new(ShardCache::default()),
         })
         .collect::<Vec<_>>();
-
-    Ok(ModelArtifact {
-        model: meta.model,
-        dims: meta.dims,
-        standalone: meta.standalone,
-        num_items: meta.num_items,
-        params: TierParams::Lazy(LazyTiers {
+    Ok(ModelArtifact::assemble(
+        c.meta,
+        TierParams::Lazy(LazyTiers {
             file: file.clone(),
-            table_entries,
-            table_block,
-            theta_entries,
-            theta_block,
-            cache: Arc::new(TierCache::default()),
+            index: c.tables,
+            tables: Arc::default(),
+            thetas: Arc::new(c.thetas),
         }),
-        users: UserStore::Lazy(LazyUsers {
+        UserStore::Lazy(LazyUsers {
             file,
-            dims: meta.dims,
-            num_users: meta.num_users,
-            dir_off: off,
-            payload_off: off + dir_len,
-            payload_len,
+            index: c.users,
             shards: Arc::new(shards),
         }),
-        popularity,
-        fallback,
-    })
+        c.popularity,
+        c.fallback,
+    ))
 }

@@ -87,7 +87,11 @@ fn v1_fixture_loads_and_reencodes_bit_identically_as_v2() {
 fn v2_fixture_matches_every_writer_and_loads_both_ways() {
     let frozen = std::fs::read(FIXTURE_V2).expect("v2 fixture present");
     let source = fixture_source();
-    assert_eq!(source.to_bytes(), frozen, "to_bytes drifted from the v2 fixture");
+    assert_eq!(
+        source.to_bytes(),
+        frozen,
+        "to_bytes drifted from the v2 fixture"
+    );
 
     let dir = std::env::temp_dir().join(format!("hf_backcompat_v2_{}", std::process::id()));
     let saved = dir.join("saved.hfa");
@@ -111,9 +115,7 @@ fn v2_fixture_matches_every_writer_and_loads_both_ways() {
     let eager = ModelArtifact::load_file(FIXTURE_V2).expect("v2 fixture loads");
     let lazy = ModelArtifact::load_file_lazy(FIXTURE_V2, LazyConfig::default()).expect("lazy");
     assert!(lazy.is_lazy());
-    let reqs: Vec<_> = (0..source.num_users())
-        .map(RecommendRequest::new)
-        .collect();
+    let reqs: Vec<_> = (0..source.num_users()).map(RecommendRequest::new).collect();
     let serve = |a: ModelArtifact| {
         RecommenderBuilder::new(a)
             .default_k(8)

@@ -254,15 +254,15 @@ impl ModelArtifact {
     }
 
     /// Opens a v2 artifact file **lazily**: the header, directories,
-    /// `meta`, `popularity`, and `fallback` sections are read and
-    /// validated up front, but tier tables and user records stay on disk
-    /// until first touch. User records are cached in a sharded bounded
-    /// LRU sized by `cfg`, so resident memory is `O(touched)` with a
-    /// configurable ceiling — and rankings are bit-identical to the
-    /// eager path.
+    /// `meta`, `popularity`, `fallback`, and the three predictors are
+    /// read and validated up front, but tier tables and user records
+    /// stay on disk until first touch. User records are cached in a
+    /// sharded bounded LRU sized by `cfg`, so resident memory is
+    /// `O(touched)` with a configurable ceiling — and rankings are
+    /// bit-identical to the eager path.
     ///
-    /// Version-1 files have no directories to seek by; they fall back to
-    /// the eager [`ModelArtifact::load_file`] path transparently.
+    /// Version-1 files have no directories to seek by; they are decoded
+    /// eagerly, transparently.
     pub fn load_file_lazy(
         path: impl AsRef<std::path::Path>,
         cfg: LazyConfig,

@@ -62,7 +62,7 @@ use hf_models::{Ffn, ModelKind};
 use hf_tensor::Matrix;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File magic: "HeteFedrec Artifact Binary".
@@ -253,7 +253,7 @@ pub(crate) fn write_v2<W: Write + Seek>(out: &mut W, src: &mut impl Source) -> i
     let users_at = out.stream_position()?;
     let dir_len = meta.num_users as u64 * USER_DIR_ENTRY;
     out.write_all(&[SEC_USERS])?;
-    write_zeros(out, 8 + dir_len)?;
+    io::copy(&mut io::repeat(0).take(8 + dir_len), out)?;
     let mut dir = Writer::with_capacity(dir_len as usize);
     let mut batch = Writer::new();
     let mut block = 0u64;
@@ -365,16 +365,6 @@ fn write_f32s(out: &mut impl Write, values: &[f32]) -> io::Result<()> {
             w.put_f32_le(x);
         }
         out.write_all(w.as_slice())?;
-    }
-    Ok(())
-}
-
-fn write_zeros(out: &mut impl Write, mut n: u64) -> io::Result<()> {
-    let zeros = [0u8; 4096];
-    while n > 0 {
-        let k = n.min(zeros.len() as u64);
-        out.write_all(&zeros[..k as usize])?;
-        n -= k;
     }
     Ok(())
 }
@@ -570,13 +560,10 @@ impl Container {
 
     /// Decodes everything into an eager artifact.
     pub(crate) fn load<S: ByteSource + ?Sized>(self, src: &S) -> Result<ModelArtifact, ServeError> {
-        let mut tables = Vec::with_capacity(3);
-        for tier in Tier::ALL {
-            tables.push(self.tables.read(src, tier)?);
-        }
+        let [s, m, l] = Tier::ALL.map(|tier| self.tables.read(src, tier));
         let users = self.users.read_all(src)?;
         let params = TierParams::Eager {
-            tables: Box::new(tables.try_into().expect("three tables")),
+            tables: Box::new([s?, m?, l?]),
             thetas: Box::new(self.thetas),
         };
         Ok(ModelArtifact::assemble(
@@ -888,23 +875,18 @@ pub fn decode(buf: &[u8]) -> Result<ModelArtifact, ServeError> {
 }
 
 fn decode_fallback(payload: &[u8], dims: &TierDims) -> Result<[Vec<f32>; 3], ServeError> {
-    let mut f = Reader::new(payload);
-    let mut fallback = Vec::with_capacity(3);
-    for tier in Tier::ALL {
-        let v = (|| {
+    exact(payload, |f| {
+        let mut fallback = Vec::with_capacity(3);
+        for tier in Tier::ALL {
             let n = f.get_u32_le()? as usize;
             if n != dims.dim(tier) {
                 return None;
             }
-            f.get_f32_vec(n)
-        })()
-        .ok_or_else(|| err(format!("`fallback` section is malformed at {tier:?}")))?;
-        fallback.push(v);
-    }
-    if f.remaining() != 0 {
-        return Err(err("`fallback` section has trailing bytes"));
-    }
-    Ok(fallback.try_into().expect("three fallbacks"))
+            fallback.push(f.get_f32_vec(n)?);
+        }
+        fallback.try_into().ok()
+    })
+    .ok_or_else(|| err("`fallback` section is malformed"))
 }
 
 fn model_tag(model: ModelKind) -> u8 {
@@ -1114,7 +1096,10 @@ mod tests {
             let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
             for cut in (0..bytes.len()).rev() {
                 file.set_len(cut as u64).unwrap();
-                assert!(!verdict(&bytes[..cut], true), "cut at {cut} must be rejected");
+                assert!(
+                    !verdict(&bytes[..cut], true),
+                    "cut at {cut} must be rejected"
+                );
             }
 
             let mut mutants = vec![

@@ -99,7 +99,7 @@ const MATRIX_HEADER: u64 = 8 + 4;
 /// Record bytes the writer buffers before handing them to the output.
 const RECORD_BATCH: usize = 1 << 16;
 
-fn err(msg: impl Into<String>) -> ServeError {
+pub(crate) fn err(msg: impl Into<String>) -> ServeError {
     ServeError::Artifact(msg.into())
 }
 
@@ -1083,48 +1083,58 @@ mod tests {
         };
         let accepts = |bytes: &[u8]| verdict(bytes, false);
 
-        // Small enough that every prefix runs through every entry point.
-        let a = ModelArtifact::synthesize(
+        // The small synthesized artifact runs every prefix through every
+        // entry point; the ~200 KB standalone one (private models in its
+        // records) runs a spread of cuts, since each cut is a file read.
+        let small = ModelArtifact::synthesize(
             &hf_dataset::SyntheticProfile::new(48, 120),
             TierDims::new(4, 8, 16),
             3,
         )
         .unwrap();
-        for bytes in [a.to_bytes(), encode_v1(&a)] {
-            assert!(accepts(&bytes));
-            // The full buffer is the only valid length.
-            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            for cut in (0..bytes.len()).rev() {
-                file.set_len(cut as u64).unwrap();
-                assert!(
-                    !verdict(&bytes[..cut], true),
-                    "cut at {cut} must be rejected"
-                );
-            }
+        let standalone = artifact(Strategy::Standalone, ModelKind::Ncf);
+        for (a, every_prefix) in [(small, true), (standalone, false)] {
+            for bytes in [a.to_bytes(), encode_v1(&a)] {
+                assert!(accepts(&bytes));
+                // The full buffer is the only valid length.
+                let cuts: Vec<usize> = if every_prefix {
+                    (0..bytes.len()).collect()
+                } else {
+                    vec![0, 3, 4, 6, 10, 17, bytes.len() / 2, bytes.len() - 1]
+                };
+                let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                for &cut in cuts.iter().rev() {
+                    file.set_len(cut as u64).unwrap();
+                    assert!(
+                        !verdict(&bytes[..cut], true),
+                        "cut at {cut} must be rejected"
+                    );
+                }
 
-            let mut mutants = vec![
-                patched(&bytes, 0, b"X"),                     // magic
-                patched(&bytes, 4, &[0xFF]),                  // container version
-                patched(&bytes, 6, &[0xFF]),                  // schema version
-                patched(&bytes, 11, &u64::MAX.to_le_bytes()), // first section length
-            ];
-            let secs = sections(&bytes[..]).expect("valid section table");
-            for s in secs.iter().flatten() {
-                let at = s.off as usize - 8;
-                mutants.push(with_u64(&bytes, at, |n| n + 1));
-                mutants.push(with_u64(&bytes, at, |n| n - 1));
-            }
-            if bytes[4] == 2 {
-                // Directory entries that disagree with their payloads.
-                let tables = secs[SEC_TABLES as usize].unwrap().off as usize;
-                let thetas = secs[SEC_THETAS as usize].unwrap().off as usize;
-                mutants.push(with_u64(&bytes, tables + 28, |off| off + 4)); // Medium offset
-                mutants.push(with_u64(&bytes, tables + 16, |rows| rows - 1)); // Small rows
-                mutants.push(with_u64(&bytes, thetas + 16, |off| off + 1)); // Medium offset
-                mutants.push(with_u64(&bytes, thetas + 8, |len| len - 4)); // Small length
-            }
-            for (i, m) in mutants.iter().enumerate() {
-                assert!(!accepts(m), "mutant {i} must be rejected");
+                let mut mutants = vec![
+                    patched(&bytes, 0, b"X"),                     // magic
+                    patched(&bytes, 4, &[0xFF]),                  // container version
+                    patched(&bytes, 6, &[0xFF]),                  // schema version
+                    patched(&bytes, 11, &u64::MAX.to_le_bytes()), // first section length
+                ];
+                let secs = sections(&bytes[..]).expect("valid section table");
+                for s in secs.iter().flatten() {
+                    let at = s.off as usize - 8;
+                    mutants.push(with_u64(&bytes, at, |n| n + 1));
+                    mutants.push(with_u64(&bytes, at, |n| n - 1));
+                }
+                if bytes[4] == 2 {
+                    // Directory entries that disagree with their payloads.
+                    let tables = secs[SEC_TABLES as usize].unwrap().off as usize;
+                    let thetas = secs[SEC_THETAS as usize].unwrap().off as usize;
+                    mutants.push(with_u64(&bytes, tables + 28, |off| off + 4)); // Medium offset
+                    mutants.push(with_u64(&bytes, tables + 16, |rows| rows - 1)); // Small rows
+                    mutants.push(with_u64(&bytes, thetas + 16, |off| off + 1)); // Medium offset
+                    mutants.push(with_u64(&bytes, thetas + 8, |len| len - 4)); // Small length
+                }
+                for (i, m) in mutants.iter().enumerate() {
+                    assert!(!accepts(m), "mutant {i} must be rejected");
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();

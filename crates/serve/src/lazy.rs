@@ -31,7 +31,7 @@
 //! from a file being modified in place is not supported.
 
 use crate::artifact::{ModelArtifact, TierParams, UserRecord, UserStore};
-use crate::binfmt::{self, ByteSource, Container};
+use crate::binfmt::{self, err, ByteSource, Container};
 use crate::ServeError;
 use hf_dataset::Tier;
 use hf_models::Ffn;
@@ -77,9 +77,12 @@ pub(crate) struct ArtifactFile {
 
 impl ArtifactFile {
     fn open(path: &Path) -> Result<Self, ServeError> {
-        let err = |e| ServeError::Artifact(format!("cannot open {}: {e}", path.display()));
-        let file = File::open(path).map_err(err)?;
-        let len = file.metadata().map_err(err)?.len();
+        let file =
+            File::open(path).map_err(|e| err(format!("cannot open {}: {e}", path.display())))?;
+        let len = file
+            .metadata()
+            .map_err(|e| err(format!("cannot stat {}: {e}", path.display())))?
+            .len();
         Ok(Self {
             path: path.to_path_buf(),
             len,
@@ -110,7 +113,7 @@ impl ByteSource for ArtifactFile {
         let end = off.checked_add(len).filter(|&e| e <= self.len);
         let n = usize::try_from(len).ok().filter(|_| end.is_some());
         let n = n.ok_or_else(|| {
-            ServeError::Artifact(format!(
+            err(format!(
                 "{}: read of {len} bytes at offset {off} exceeds file size {}",
                 self.path.display(),
                 self.len
@@ -120,9 +123,7 @@ impl ByteSource for ArtifactFile {
         let mut f = self.file.lock().expect("artifact file lock");
         f.seek(SeekFrom::Start(off))
             .and_then(|_| f.read_exact(&mut buf))
-            .map_err(|e| {
-                ServeError::Artifact(format!("{}: read failed: {e}", self.path.display()))
-            })?;
+            .map_err(|e| err(format!("{}: read failed: {e}", self.path.display())))?;
         Ok(Cow::Owned(buf))
     }
 }

@@ -19,6 +19,12 @@ fi
 echo "==> cargo test -q (workspace: unit + integration + doctests)"
 cargo test -q --offline --workspace
 
+echo "==> benchmark package (perfbench: build + its own tests)"
+# perfbench is a package of its own (BENCHMARK.json runs it) that calls
+# the serving and scoring APIs by path, so an API change that breaks it
+# fails here rather than when the benchmark next runs.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke (std::time::Instant harness, no criterion)"
 cargo test -q --offline -p hf_bench --benches
 
@@ -139,8 +145,10 @@ grep -q "masked aggregate == plaintext quantized aggregate" \
     target/ci-artifacts/secure_aggregation_smoke.log
 grep -q "recovery under injected dropout verified" \
     target/ci-artifacts/secure_aggregation_smoke.log
-# Cohort x dropout overhead sweep snapshot as a CI artefact (the binary
-# asserts every masked round verified).
+# Cohort x dropout overhead sweep snapshot as a CI artefact. A round
+# whose group fell below the escrow threshold is counted in the `lost`
+# column (`lost_rounds` in the JSON); the exact-sum check of every
+# recovered group is an assertion inside the session.
 cargo run -q --offline --release -p hf_bench --bin secagg -- \
     --scale tiny --dataset ml --model ncf \
     --json target/ci-artifacts/secagg_smoke.json

@@ -12,8 +12,11 @@
 //! * wall-clock spent deriving/applying masks and recovering dropped
 //!   members' masks from escrow, and
 //! * the protocol's bookkeeping: committed participants, dropouts,
-//!   recovered masks, and whether every round's unmasked aggregate
-//!   verified against the plaintext quantized reference.
+//!   recovered masks, and the rounds **lost**: rounds where a group fell
+//!   below the escrow threshold, so its uploads were discarded
+//!   (`SecAggRoundStats::verified == false`). A lost round is an outcome
+//!   to count, not a failure of the binary; the exact-sum check of every
+//!   recovered group stays an assertion inside the session.
 //!
 //! ```text
 //! cargo run --release -p hf_bench --bin secagg -- --scale tiny
@@ -39,7 +42,7 @@ struct RunStats {
     participants: u64,
     dropped: u64,
     recovered: u64,
-    verified: bool,
+    lost_rounds: u64,
     mask_ms: f64,
     recovery_ms: f64,
 }
@@ -52,10 +55,7 @@ fn run(cfg: &TrainConfig, split: &SplitDataset) -> RunStats {
     )
     .build()
     .expect("valid experiment configuration");
-    let mut stats = RunStats {
-        verified: true,
-        ..RunStats::default()
-    };
+    let mut stats = RunStats::default();
     for event in session.events() {
         match event {
             SessionEvent::Round(report) => {
@@ -65,7 +65,7 @@ fn run(cfg: &TrainConfig, split: &SplitDataset) -> RunStats {
                     stats.participants += s.participants as u64;
                     stats.dropped += s.dropped as u64;
                     stats.recovered += s.recovered as u64;
-                    stats.verified &= s.verified;
+                    stats.lost_rounds += u64::from(!s.verified);
                 }
             }
             SessionEvent::Epoch(report) => {
@@ -95,7 +95,7 @@ fn main() {
             println!("== {} on {} ==", model.name(), profile.name());
             let split = make_split(*profile, opts.scale, opts.seed);
             let header = format!(
-                "{:<7} {:>5} {:>8} {:>12} {:>12} {:>6} {:>10} {:>6} {:>5} {:>8} {:>8}",
+                "{:<7} {:>5} {:>8} {:>12} {:>12} {:>6} {:>10} {:>6} {:>5} {:>5} {:>8} {:>8}",
                 "cohort",
                 "drop",
                 "ndcg",
@@ -105,6 +105,7 @@ fn main() {
                 "setup_B",
                 "drops",
                 "rec",
+                "lost",
                 "mask_ms",
                 "rcvr_ms"
             );
@@ -118,17 +119,13 @@ fn main() {
                     let plain = run(&cfg, &split);
                     cfg.secagg.enabled = true;
                     let masked = run(&cfg, &split);
-                    assert!(
-                        masked.verified,
-                        "a masked round failed verification at cohort={cohort} drop={drop}"
-                    );
                     let ratio = if plain.upload_bytes == 0 {
                         0.0
                     } else {
                         masked.upload_bytes as f64 / plain.upload_bytes as f64
                     };
                     println!(
-                        "{:<7} {:>5.2} {:>8} {:>12} {:>12} {:>6.1} {:>10} {:>6} {:>5} {:>8.2} {:>8.2}",
+                        "{:<7} {:>5.2} {:>8} {:>12} {:>12} {:>6.1} {:>10} {:>6} {:>5} {:>5} {:>8.2} {:>8.2}",
                         cohort,
                         drop,
                         fmt5(masked.ndcg),
@@ -138,6 +135,7 @@ fn main() {
                         masked.setup_bytes,
                         masked.dropped,
                         masked.recovered,
+                        masked.lost_rounds,
                         masked.mask_ms,
                         masked.recovery_ms,
                     );
@@ -156,6 +154,7 @@ fn main() {
                             .value("participants", masked.participants as f64)
                             .value("dropped", masked.dropped as f64)
                             .value("recovered", masked.recovered as f64)
+                            .value("lost_rounds", masked.lost_rounds as f64)
                             .value("mask_ms", masked.mask_ms)
                             .value("recovery_ms", masked.recovery_ms),
                     );

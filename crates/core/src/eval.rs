@@ -21,6 +21,10 @@ use hf_metrics::eval::{EvalResult, Evaluator, GroupedEval, UserEval};
 use hf_models::scoring::{propagate_lightgcn, SplitNcf};
 use hf_models::ModelKind;
 
+/// Items per item-half panel in [`score_user`]: bounds its scratch to one
+/// panel. Logits do not depend on it (the `SplitNcf` contract).
+const EVAL_PANEL_ITEMS: usize = 512;
+
 /// Aggregated evaluation output: overall plus per-data-group (Fig. 6).
 #[derive(Clone, Debug, Default)]
 pub struct EvalOutput {
@@ -119,12 +123,16 @@ pub fn score_user(
         ),
     };
 
+    // The serving tail: blocked item-half panels, the standalone overlay
+    // patched in row by row, then one panel pass per panel.
     let user_half = scorer.user_half(&user_repr);
-    let mut item_half = vec![0.0f32; scorer.hidden_width()];
-    let mut scores = Vec::with_capacity(num_items);
-    for item in 0..num_items {
-        scorer.item_half_into(row_of(item), &mut item_half);
-        scores.push(scorer.finish(&user_half, &item_half, &mut ws));
+    let mut scores = vec![0.0f32; num_items];
+    for (p, out) in scores.chunks_mut(EVAL_PANEL_ITEMS).enumerate() {
+        let start = p * EVAL_PANEL_ITEMS;
+        let end = start + out.len();
+        let block =
+            scorer.item_half_block_patched(table, start, end, overlay.into_iter().flatten());
+        scorer.score_panel(&user_half, block.as_slice(), out, &mut ws);
     }
     scores
 }

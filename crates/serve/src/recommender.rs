@@ -14,7 +14,15 @@
 //! keeps the memory-lean per-batch blocked
 //! [`Matrix::matmul_rows`](hf_tensor::Matrix::matmul_rows) product
 //! instead — the two are bit-identical per row by the [`SplitNcf`]
-//! contract. Ranking happens *inside* each unit: a panel's scores are
+//! contract. Each unit then scores its panel once per query with
+//! [`SplitNcf::score_panel`]: `relu(user half + item half)` and every
+//! later layer over the whole panel, 16 items at a time, with no backprop
+//! cache; one score buffer and one
+//! [`SplitWorkspace`](hf_models::scoring::SplitWorkspace) serve all of the
+//! unit's queries. Each logit repeats the one-pair summation chain
+//! (products over `k` ascending into a −0.0-seeded accumulator, then the
+//! bias), so it does not depend on the panel it sits in.
+//! Ranking happens *inside* each unit: a panel's scores are
 //! reduced to its top-K candidates ([`hf_metrics::top_k_scored`] — ties
 //! break toward the smaller item id; NaN scores are skipped, which is how
 //! item filters and the popularity floor drop candidates) and merged
@@ -26,8 +34,8 @@
 //! exactly once, from inputs that do not depend on batch composition,
 //! panel size, or thread count — so responses are **bit-identical**
 //! across 1/2/8 threads, across batch shapes, and against the offline
-//! evaluator's scores ([`hetefedrec_core::eval::score_user`]), which uses
-//! the same [`SplitNcf`] scorer in scalar form.
+//! evaluator's scores ([`hetefedrec_core::eval::score_user`]), which runs
+//! the same item-half panels and panel pass.
 
 use crate::artifact::ModelArtifact;
 use crate::ServeError;
@@ -491,6 +499,15 @@ enum Unit {
     },
 }
 
+impl Unit {
+    /// The unit's item range `start..end`.
+    fn items(&self) -> (usize, usize) {
+        match *self {
+            Unit::Shared { start, end, .. } | Unit::Solo { start, end, .. } => (start, end),
+        }
+    }
+}
+
 impl Recommender {
     /// The artifact this recommender serves.
     pub fn artifact(&self) -> &ModelArtifact {
@@ -542,19 +559,16 @@ impl Recommender {
             .collect();
         let (tier_queries, units) = self.plan(&resolved);
 
-        // Rank inside the unit: the panel's score vector dies with the
-        // closure and only its top-K candidates escape.
+        // Rank inside the unit: the unit's one score buffer is reused for
+        // each of its queries and only their top-K candidates escape.
         let partials = parallel_map(&units, self.threads, |unit| {
-            self.unit_parts(unit, &resolved, &tier_queries)
-                .into_iter()
-                .map(|(q, start, mut part)| {
-                    self.mask_panel(&requests[q], start, &mut part);
-                    (
-                        q,
-                        top_k_scored(&part, ks[q], start as u32, &resolved[q].exclude),
-                    )
-                })
-                .collect::<Vec<_>>()
+            let mut tops = Vec::new();
+            self.score_unit(unit, &resolved, &tier_queries, |q, start, part| {
+                self.mask_panel(&requests[q], start, part);
+                let top = top_k_scored(part, ks[q], start as u32, &resolved[q].exclude);
+                tops.push((q, top));
+            });
+            tops
         });
 
         // Merge panel winners per request, truncating to `k` after every
@@ -598,13 +612,15 @@ impl Recommender {
         let resolved = vec![self.resolve(request)];
         let (tier_queries, units) = self.plan(&resolved);
         let partials = parallel_map(&units, self.threads, |unit| {
-            self.unit_parts(unit, &resolved, &tier_queries)
+            let mut parts = Vec::new();
+            self.score_unit(unit, &resolved, &tier_queries, |_, start, part| {
+                parts.push((start, part.to_vec()));
+            });
+            parts
         });
         let mut scores = vec![0.0f32; self.artifact.num_items()];
-        for unit in partials {
-            for (_, start, part) in unit {
-                scores[start..start + part.len()].copy_from_slice(&part);
-            }
+        for (start, part) in partials.into_iter().flatten() {
+            scores[start..start + part.len()].copy_from_slice(&part);
         }
         self.mask_panel(request, 0, &mut scores);
         scores
@@ -648,74 +664,61 @@ impl Recommender {
         (tier_queries, units)
     }
 
-    /// Scores one unit's panel for each of its queries, returning
-    /// `(query, panel start, panel scores)` triples. Every
-    /// `(query, item)` score is computed exactly once, from inputs that do
-    /// not depend on batch composition, panel size, or thread count.
-    fn unit_parts(
+    /// Scores one unit's panel for each of its queries, handing
+    /// `emit(query, panel start, panel scores)` the unit's one reused
+    /// score buffer. Every `(query, item)` score is computed exactly once,
+    /// from inputs that do not depend on batch composition, panel size, or
+    /// thread count.
+    fn score_unit(
         &self,
         unit: &Unit,
         resolved: &[Resolved],
         tier_queries: &[Vec<usize>; 3],
-    ) -> Vec<(usize, usize, Vec<f32>)> {
-        match *unit {
-            Unit::Shared { tier, start, end } => {
+        mut emit: impl FnMut(usize, usize, &mut [f32]),
+    ) {
+        let local;
+        let held;
+        let (scorer, halves, queries): (&SplitNcf, &[f32], &[usize]) = match unit {
+            &Unit::Shared { tier, start, end } => {
                 let scorer = &self.scorers[tier];
                 // Precomputed halves are sliced in place; per-batch mode
                 // computes the panel's blocked product here; tiled mode
                 // serves it from the bounded LRU (computing on miss).
                 // All three are bit-identical per row by the SplitNcf
                 // contract.
-                let local;
-                let held;
-                let (rows, offset): (&Matrix, usize) = match &self.item_halves {
-                    ItemHalves::Full(halves) => (&halves[tier], start),
+                let h1 = scorer.hidden_width();
+                let halves = match &self.item_halves {
+                    ItemHalves::Full(halves) => &halves[tier].as_slice()[start * h1..end * h1],
                     ItemHalves::PerBatch => {
                         let table = self.artifact.table(Tier::ALL[tier]);
                         local = scorer.item_half_block(table, start, end);
-                        (&local, 0)
+                        local.as_slice()
                     }
                     ItemHalves::Tiled(cache) => {
                         held = cache.get(tier, start, || {
                             let table = self.artifact.table(Tier::ALL[tier]);
                             scorer.item_half_block(table, start, end)
                         });
-                        (&held, 0)
+                        held.as_slice()
                     }
                 };
-                let mut ws = scorer.workspace();
-                tier_queries[tier]
-                    .iter()
-                    .map(|&q| {
-                        let part: Vec<f32> = (0..end - start)
-                            .map(|r| {
-                                scorer.finish(&resolved[q].user_half, rows.row(offset + r), &mut ws)
-                            })
-                            .collect();
-                        (q, start, part)
-                    })
-                    .collect::<Vec<_>>()
+                (scorer, halves, &tier_queries[tier])
             }
             Unit::Solo { query, start, end } => {
-                let (scorer, user) = resolved[query].solo.as_ref().expect("solo unit");
+                let (scorer, user) = resolved[*query].solo.as_ref().expect("solo unit");
                 let record = self.artifact.user(*user).expect("known user");
                 let solo = record.solo.as_ref().expect("standalone state");
                 let table = self.artifact.table(record.tier);
-                let mut block = scorer.item_half_block(table, start, end);
-                // Patch the user's privately trained rows (bit-identical
-                // to the blocked product by the SplitNcf contract).
-                for (&item, row) in &solo.rows {
-                    let i = item as usize;
-                    if (start..end).contains(&i) {
-                        scorer.item_half_into(row, block.row_mut(i - start));
-                    }
-                }
-                let mut ws = scorer.workspace();
-                let part: Vec<f32> = (0..end - start)
-                    .map(|r| scorer.finish(&resolved[query].user_half, block.row(r), &mut ws))
-                    .collect();
-                vec![(query, start, part)]
+                local = scorer.item_half_block_patched(table, *start, *end, &solo.rows);
+                (scorer, local.as_slice(), std::slice::from_ref(query))
             }
+        };
+        let (start, end) = unit.items();
+        let mut ws = scorer.workspace();
+        let mut scores = vec![0.0f32; end - start];
+        for &q in queries {
+            scorer.score_panel(&resolved[q].user_half, halves, &mut scores, &mut ws);
+            emit(q, start, &mut scores);
         }
     }
 
